@@ -213,6 +213,8 @@ def service_report(metrics_snapshot: Dict[str, Any]) -> Dict[str, Any]:
             "hits": hits,
             "misses": misses,
             "hit_rate": hits / lookups if lookups else None,
+            # hits answered from the body digest, without decoding it
+            "undecoded_hits": value("requests_allocate_undecoded"),
             "memory_bytes": value("cache_memory_bytes"),
         },
         "latency": {

@@ -2,7 +2,8 @@
 
 Lets users persist and exchange every artifact of the flow:
 
-* :func:`cdfg_to_json` / :func:`cdfg_from_json` — the behaviour;
+* :func:`cdfg_to_json` / :func:`cdfg_from_json` — the behaviour
+  (:func:`cdfg_from_dict` for an already-parsed document);
 * :func:`schedule_to_json` / :func:`schedule_from_json` — op start steps
   plus the hardware assumptions (FU types are reconstructed exactly);
 * :func:`binding_to_json` / :func:`binding_from_json` — a complete
@@ -101,7 +102,12 @@ def cdfg_to_json(graph: CDFG) -> str:
 
 def cdfg_from_json(text: str) -> CDFG:
     """Rebuild a CDFG from :func:`cdfg_to_json` output."""
-    data = _load(text, "cdfg")
+    return cdfg_from_dict(_parse(text))
+
+
+def cdfg_from_dict(data: Any) -> CDFG:
+    """Rebuild a CDFG from an already-parsed :func:`cdfg_to_dict` document."""
+    data = _check(data, "cdfg")
     ops = []
     for entry in data["operations"]:
         operands = []
@@ -164,7 +170,7 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 def schedule_from_json(text: str) -> Schedule:
     data = _load(text, "schedule")
-    graph = cdfg_from_json(json.dumps(data["cdfg"]))
+    graph = cdfg_from_dict(data["cdfg"])
     spec = _spec_from_dict(data["spec"])
     return Schedule(graph, spec, data["length"], data["start"],
                     label=data["label"])
@@ -284,11 +290,18 @@ def stats_from_json(text: str) -> List[ImproveStats]:
 
 # ------------------------------------------------------------------ utils
 
-def _load(text: str, expected_type: str) -> Dict[str, Any]:
+def _parse(text: str) -> Any:
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"invalid JSON: {exc}") from None
+
+
+def _load(text: str, expected_type: str) -> Dict[str, Any]:
+    return _check(_parse(text), expected_type)
+
+
+def _check(data: Any, expected_type: str) -> Dict[str, Any]:
     if not isinstance(data, dict):
         raise SerializationError("top-level JSON value must be an object")
     if data.get("format") != FORMAT_VERSION:

@@ -36,10 +36,8 @@ from repro.errors import ReproError
 from repro.cdfg.graph import CDFG
 from repro.datapath.cost import CostWeights
 from repro.datapath.units import HardwareSpec
-from repro.io.json_io import (canonical_dumps, cdfg_from_json, cdfg_to_dict,
+from repro.io.json_io import (canonical_dumps, cdfg_from_dict, cdfg_to_dict,
                               spec_to_dict, _spec_from_dict)
-
-import json
 
 #: schema version of the request encoding; bump to invalidate all caches
 REQUEST_FORMAT = 1
@@ -139,7 +137,7 @@ def _graph_from_spec(data: Any) -> CDFG:
         import repro.bench as bench
         return getattr(bench, builder_name)()
     if isinstance(data, dict) and data.get("type") == "cdfg":
-        return cdfg_from_json(json.dumps(data))
+        return cdfg_from_dict(data)
     raise RequestError(
         "request 'cdfg' must be a serialized CDFG document or "
         "{'bench': <name>}")

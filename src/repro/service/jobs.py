@@ -137,8 +137,10 @@ class Job:
 
     id: str
     key: str
-    shape_key: str
-    request: AllocateRequest
+    #: problem-shape key and decoded request; ``None`` on the synthetic
+    #: done record of a cache-served submission, which never runs
+    shape_key: Optional[str]
+    request: Optional[AllocateRequest]
     status: str = QUEUED
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
@@ -327,19 +329,12 @@ class JobManager:
         byte-identical stored result; nothing is queued.
         """
         key = request_key(request)
-        job_id = job_id_for(key)
-        if self.cache is not None and request.cache_ok:
-            cached = self.cache.get(key)
-            if cached is not None:
-                job = Job(id=job_id, key=key, shape_key=warm_key(request),
-                          request=request, status=DONE)
-                job.finished_at = job.started_at = job.submitted_at
-                job.finished_mono = job.started_mono = job.submitted_mono
-                job.done_event.set()
-                with self._lock:
-                    self._remember(job)
-                return job, cached
+        if request.cache_ok:
+            hit = self.serve_cached(key)
+            if hit is not None:
+                return hit
 
+        job_id = job_id_for(key)
         with self._lock:
             if self._shutdown:
                 raise QueueFullError("job manager is shut down")
@@ -360,6 +355,27 @@ class JobManager:
             self._submitted.inc()
             self._work.notify()
         return job, None
+
+    def serve_cached(self, key: str) -> Optional[Tuple[Job, bytes]]:
+        """Answer exact key *key* from the cache, or ``None`` on a miss.
+
+        A hit records a synthetic already-done job (so ``GET /jobs/<id>``
+        finds it) and returns it with the stored bytes.  It needs only the
+        key: nothing is decoded, hashed again or queued.
+        """
+        if self.cache is None:
+            return None
+        cached = self.cache.get(key)
+        if cached is None:
+            return None
+        job = Job(id=job_id_for(key), key=key, shape_key=None, request=None,
+                  status=DONE)
+        job.finished_at = job.started_at = job.submitted_at
+        job.finished_mono = job.started_mono = job.submitted_mono
+        job.done_event.set()
+        with self._lock:
+            self._remember(job)
+        return job, cached
 
     def get(self, job_id: str) -> Job:
         with self._lock:
@@ -588,6 +604,8 @@ class JobManager:
 
     def _execute(self, job: Job) -> None:
         request = job.request
+        # only synthetic cache-served records lack these, and none queues
+        assert request is not None and job.shape_key is not None
         started = job.started_mono if job.started_mono is not None \
             else time.monotonic()
         job.deadline_mono = None
@@ -671,6 +689,7 @@ class JobManager:
                               weights=request.weights, config=config)
 
     def _warm_state(self, job: Job) -> Optional[Mapping[str, Any]]:
+        assert job.request is not None and job.shape_key is not None
         if not job.request.warm_start or self.cache is None:
             return None
         payload = self.cache.get("warm_" + job.shape_key)
@@ -720,6 +739,7 @@ class JobManager:
     def _run_search(self, job: Job, attempt: int,
                     should_stop) -> Dict[str, Any]:
         request = job.request
+        assert request is not None and job.shape_key is not None
         allocator = self._allocator(request, attempt)
         schedule, restart_jobs = allocator.prepare_jobs(
             request.graph, schedule=self._memo_schedule(job.shape_key),

@@ -22,14 +22,16 @@ searches never block health checks or metrics scrapes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
-from repro.service.cache import (DEFAULT_MEMORY_BUDGET, TieredCache)
+from repro.service.cache import (DEFAULT_MEMORY_BUDGET, MemoryLRUCache,
+                                 TieredCache)
 from repro.service.codec import RequestError, request_from_dict
 from repro.service.jobs import (DONE, FAILED, CANCELLED, JobManager,
                                 JobNotFoundError, QueueFullError)
@@ -42,6 +44,38 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: how long a synchronous POST /allocate holds the connection before
 #: telling the client to poll GET /jobs/<id> instead
 DEFAULT_SYNC_WAIT_S = 600.0
+
+#: raw-body digests the exact-key hit path remembers (sha256 of the body
+#: -> request key; about 330 bytes an entry, 0.7 MB when full)
+BODY_MEMO_SIZE = 2048
+
+#: a request key is a sha256 hex digest: 64 bytes of memo payload each
+_KEY_BYTES = 64
+
+#: a reply: a JSON-able payload, or bytes already encoded as JSON
+Reply = Union[Dict[str, Any], bytes]
+
+
+def _parse_body(raw: bytes) -> Any:
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise RequestError(f"body is not valid JSON: {exc}") from None
+
+
+def _splice(envelope: Dict[str, Any], result: bytes) -> bytes:
+    """``json.dumps({**envelope, "result": ...}, sort_keys=True)`` with the
+    stored canonical *result* bytes placed verbatim, not re-encoded."""
+    fields = [(name, json.dumps(value, sort_keys=True).encode("utf-8"))
+              for name, value in envelope.items()]
+    fields.append(("result", result))
+    return b"{" + b", ".join(json.dumps(name).encode("utf-8") + b": " + value
+                             for name, value in sorted(fields)) + b"}"
+
+
+def _hit_reply(job_id: str, result: bytes) -> bytes:
+    return _splice({"job_id": job_id, "status": DONE, "cached": True,
+                    "degraded": False}, result)
 
 
 class AllocationService:
@@ -67,6 +101,13 @@ class AllocationService:
                                max_attempts=max_attempts,
                                worker_mode=worker_mode, **job_kwargs)
         self.sync_wait_s = sync_wait_s
+        # an LRU of body digest -> request key whose byte budget holds
+        # exactly BODY_MEMO_SIZE keys
+        self._body_keys = MemoryLRUCache(BODY_MEMO_SIZE * _KEY_BYTES)
+        self._undecoded_hits = self.metrics.counter(
+            "requests_allocate_undecoded",
+            "POST /allocate cache hits answered from the body digest, "
+            "without decoding the body")
         self.started_at = time.time()  # display-only wall stamp
         self._started_mono = time.monotonic()
 
@@ -75,32 +116,46 @@ class AllocationService:
 
     # ---------------------------------------------------------- operations
 
-    def allocate(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        """Handle one ``POST /allocate`` body; returns (status, payload)."""
+    def allocate(self, raw: bytes) -> Tuple[int, Reply]:
+        """Handle one raw ``POST /allocate`` body; returns (status, reply).
+
+        A body seen before maps through its sha256 digest to its request
+        key, so an exact-key hit costs one hash and one cache read: the
+        body is not decoded and the stored result bytes go out verbatim.
+        Everything else is decoded and submitted.
+        """
         self.metrics.counter("requests_allocate",
                              "POST /allocate requests").inc()
-        wants_async = bool(body.get("async", False))
+        digest = hashlib.sha256(raw).hexdigest()
+        key = self._body_keys.get(digest)
+        if key is not None:
+            hit = self.jobs.serve_cached(key.decode("ascii"))
+            if hit is not None:
+                self._undecoded_hits.inc()
+                served, stored = hit
+                return 200, _hit_reply(served.id, stored)
+            # the entry has gone (evicted or removed): decode and submit
+
+        body = _parse_body(raw)
         request = request_from_dict(body)
         try:
             job, cached = self.jobs.submit(request)
         except QueueFullError as exc:
             return 503, {"error": str(exc), "status": "rejected"}
+        # "cache": false bodies must never be answered from the cache, so
+        # only bodies allowed to read it are remembered
+        if request.cache_ok:
+            self._body_keys.put(digest, job.key.encode("ascii"))
 
         if cached is not None:
-            return 200, {
-                "job_id": job.id,
-                "status": DONE,
-                "cached": True,
-                "degraded": False,
-                "result": json.loads(cached.decode("utf-8")),
-            }
-        if wants_async:
+            return 200, _hit_reply(job.id, cached)
+        if body.get("async", False):
             return 202, {"job_id": job.id, "status": job.status,
                          "cached": False}
         job.wait(self.sync_wait_s)
         return self.job_status(job.id)
 
-    def job_status(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
+    def job_status(self, job_id: str) -> Tuple[int, Reply]:
         self.metrics.counter("requests_jobs", "GET /jobs requests").inc()
         job = self.jobs.get(job_id)  # raises JobNotFoundError -> 404
         payload: Dict[str, Any] = dict(job.describe())
@@ -116,7 +171,7 @@ class AllocationService:
                 if cached is not None:
                     payload["cached"] = True
                     payload["degraded"] = False
-                    payload["result"] = json.loads(cached.decode("utf-8"))
+                    return 200, _splice(payload, cached)
             return 200, payload
         if job.status == FAILED:
             return 422, payload
@@ -161,27 +216,22 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:
         pass  # quiet by default; metrics carry the traffic numbers
 
-    def _send(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def _send(self, status: int, payload: Reply) -> None:
+        body = payload if isinstance(payload, bytes) \
+            else json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> Dict[str, Any]:
+    def _read_body(self) -> bytes:
         length = int(self.headers.get("Content-Length", "0"))
         if length <= 0:
             raise RequestError("empty request body")
         if length > MAX_BODY_BYTES:
             raise RequestError(f"request body over {MAX_BODY_BYTES} bytes")
-        try:
-            data = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise RequestError(f"body is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise RequestError("request body must be a JSON object")
-        return data
+        return self.rfile.read(length)
 
     def _dispatch(self, handler) -> None:
         try:
