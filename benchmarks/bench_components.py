@@ -14,7 +14,7 @@ from repro.datapath.simulate import verify_binding
 from repro.datapath.units import HardwareSpec, make_registers
 from repro.sched import list_schedule, schedule_graph
 from repro.core import initial_allocation
-from repro.core.moves import MoveSet, rollback
+from repro.core.moves import MoveSet
 
 SPEC = HardwareSpec.non_pipelined()
 
@@ -48,11 +48,10 @@ def test_move_apply_rollback_throughput(benchmark):
 
     def one_move():
         fn = fns[rng.randrange(len(fns))]
-        undos = fn(binding, rng)
-        if undos is not None:
+        binding.begin_move()
+        if fn(binding, rng):
             binding.cost()
-            rollback(undos)
-            binding.flush()
+        binding.abort_move()
 
     benchmark(one_move)
 

@@ -98,8 +98,7 @@ def anneal(binding: Binding,
             if sanitizer is not None:
                 sanitizer.pre_move(name, stats.moves_attempted)
             binding.begin_move()
-            undos = fns[name](binding, rng)
-            if undos is None:
+            if not fns[name](binding, rng):
                 binding.commit_move()  # no-op move: nothing to revert
                 continue
             stats.moves_applied += 1
@@ -127,8 +126,6 @@ def anneal(binding: Binding,
                     sanitizer.after_accept(name, stats.moves_attempted)
             else:
                 counters.rollbacks += 1
-                # abort_move replays the write journal; the undo closures
-                # in `undos` are not needed on this path
                 binding.abort_move()
                 if sanitizer is not None:
                     sanitizer.after_rollback(name, stats.moves_attempted)

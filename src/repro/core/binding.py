@@ -14,13 +14,17 @@ A :class:`Binding` captures everything the paper's allocator decides
 * ``pt_impl`` — transfers implemented as functional-unit *pass-throughs*
   instead of direct register-to-register connections (moves F4/F5).
 
-Derived state (register/FU occupancy, the point-to-point connection ledger
-and its equivalent-2-1-mux total) is maintained incrementally: every
-primitive mutation returns an undo closure and marks the affected
-connection *sites* dirty; :meth:`Binding.flush` re-derives exactly the
-dirty sites.  The iterative-improvement engine applies a move as a list of
-primitives, flushes, inspects the cost, and either keeps the move or rolls
-the primitives back.
+The decision dicts above are the only binding state.  Derived state
+(register/FU occupancy, the point-to-point connection ledger and its
+equivalent-2-1-mux total) is maintained incrementally: every primitive
+mutation marks the affected connection *sites* dirty, and
+:meth:`Binding.flush` re-derives exactly the dirty sites.  The
+iterative-improvement engine opens a move (:meth:`Binding.begin_move`),
+applies it as a sequence of primitives, flushes, inspects the cost, and
+either keeps the move (:meth:`Binding.commit_move`) or replays the move's
+write journal backwards (:meth:`Binding.abort_move`).  The journal is the
+one rollback mechanism: a partial revert inside a still-open move goes back
+to a :meth:`Binding.mark` through :meth:`Binding.revert_to`.
 
 Timing conventions are those of DESIGN.md Sec. 3; in particular a transfer
 into the segment at step ``t'`` happens during the preceding live step
@@ -32,25 +36,24 @@ register.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from itertools import islice
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.errors import BindingError
 from repro.cdfg.graph import CDFG
 from repro.cdfg.lifetimes import LiveInterval
-from repro.core.arraystate import CompactState, DerivedSnapshot
-from repro.core.interning import BindingTables
 from repro.datapath.cost import CostBreakdown, CostWeights, weighted_total
 from repro.datapath.interconnect import (ConnectionLedger, fu_in, fu_out,
                                          in_port, out_port, reg_in, reg_out)
 from repro.datapath.units import FU, Register
 from repro.sched.schedule import Schedule
 
-Undo = Callable[[], None]
 SiteKey = Tuple
 PtImpl = Tuple[str, str, int]  # (src_reg, fu, fu_port)
+#: a revert point inside an open move (:meth:`Binding.mark`)
+Mark = Tuple[int, int, int, int, float, Optional[list]]
 
 #: shared empty event list for absent sites (never mutated)
 _NO_EVENTS: List[Tuple] = []
@@ -117,24 +120,23 @@ class Binding:
         self.ledger = ConnectionLedger()
         self._site_events: Dict[SiteKey, List[Tuple]] = {}
         self._dirty: Set[SiteKey] = set()
-        #: when journaling (:meth:`begin_move`), the pre-move event list of
-        #: every site :meth:`flush` has changed since the journal started
-        self._journal: Optional[Dict[SiteKey, List[Tuple]]] = None
+        #: when journaling (:meth:`begin_move`), ``(site, old_events)`` for
+        #: every site event list :meth:`flush` has replaced, in flush order
+        self._journal: Optional[List[Tuple[SiteKey, List[Tuple]]]] = None
         #: write log of raw/occupancy mutations since :meth:`begin_move` —
-        #: ``(container, key, old_value_or_ABSENT)`` in write order, where
-        #: the container is a decision/occupancy dict or a flat array
-        #: column (arrays replay through the same ``container[key] = old``
-        #: branch; their old value is never ``_ABSENT``)
+        #: ``(container, key, old_value_or_ABSENT)`` in write order
         self._raw_journal: Optional[List[Tuple]] = None
         self._counter_snap: Tuple[int, int, float] = (0, 0, 0.0)
 
         # static lookups -------------------------------------------------------
         self._reads_at: Dict[Tuple[str, int], List[Tuple[str, int]]] = {}
+        self._read_sites: Set[Tuple[str, int]] = set()
         for vname, val in self.graph.values.items():
             for op_name, port in val.consumers:
                 step = schedule.start[op_name]
                 self._reads_at.setdefault((vname, step), []).append(
                     (op_name, port))
+                self._read_sites.add((op_name, port))
         # per-value interval / liveness caches: the hot loop resolves these
         # hundreds of times per move, so they are plain dict lookups here
         self._interval: Dict[str, LiveInterval] = dict(
@@ -221,37 +223,19 @@ class Binding:
         self._xfer_cache: Optional[List[Tuple[str, int, str, int]]] = None
         self._xfer_snap: Optional[List[Tuple[str, int, str, int]]] = None
         # reusable journal containers (avoid two allocations per move)
-        self._journal_store: Dict[SiteKey, List[Tuple]] = {}
+        self._journal_store: List[Tuple[SiteKey, List[Tuple]]] = []
         self._raw_store: List[Tuple] = []
 
-        # dense-id tables + flat integer columns: the array mirror of the
-        # decision dicts (repro.core.interning / repro.core.arraystate).
-        # Every primitive writes dict and column together — through the
-        # same write journal, so abort_move replays both — and the columns
-        # are what clone_state()/restore_state() snapshot and diff.
-        self._tables = BindingTables(
-            ops=self.ops_sorted,
-            fus=tuple(fus_sorted),
-            regs=self.regs_sorted,
-            segs=sorted(self._live_pairs),
-            reads=sorted({(op_name, port)
-                          for val in self.graph.values.values()
-                          for op_name, port in val.consumers}),
-            outs=sorted(v for v, val in self.graph.values.items()
-                        if val.is_output))
-        tables = self._tables
-        self._op_fu_col = array("i", [-1]) * len(tables.op_names)
-        self._op_swap_col = array("b", bytes(len(tables.op_names)))
-        self._read_col = array("i", [-1]) * len(tables.read_keys)
-        self._out_col = array("i", [-1]) * len(tables.out_values)
-        self._seg_col = array("i", bytes(4 * len(tables.seg_keys)))
-        #: dict-position tick per segment: ascending ticks over the placed
-        #: segments reproduce the placements dict's iteration order, which
-        #: is the one dict order the search trajectory observes
-        self._seg_seq = array("q", bytes(8 * len(tables.seg_keys)))
-        #: next position tick; monotone for the binding's life (abort_move
-        #: restores seq cells but never rewinds the counter — monotonicity
-        #: is the only property the order reconstruction needs)
+        #: insertion tick per segment, stamped when a segment enters the
+        #: placements dict.  A journal revert puts a popped segment back
+        #: at the *end* of the dict but restores its *old* tick, so tick
+        #: order and dict order part ways after the first revert.
+        #: :meth:`clone_state` lists placements in tick order — the order
+        #: the search trajectories were pinned with — while the moves read
+        #: the live dict order.
+        self._seg_seq: Dict[Tuple[str, int], int] = {}
+        #: next tick; monotone for the binding's life (reverts restore a
+        #: segment's tick but never rewind the counter)
         self._seg_tick = 1
 
     # ------------------------------------------------------------------ helpers
@@ -391,17 +375,14 @@ class Binding:
 
     # ------------------------------------------------------------- primitives
 
-    def set_op_fu(self, op_name: str, fu_name: Optional[str],
-                  _validate: bool = True) -> Undo:
+    def set_op_fu(self, op_name: str, fu_name: Optional[str]) -> None:
         """(Re)bind *op_name* to *fu_name* (``None`` unbinds)."""
         op = self.graph.ops[op_name]
         old = self.op_fu.get(op_name)
         if fu_name == old:
-            return _noop
+            return
         busy = self._busy_steps[op_name]
-        if fu_name is not None and _validate:
-            # undo closures skip these checks: they restore a known-good
-            # state in reverse order, so re-validation is pure overhead
+        if fu_name is not None:
             fu = self.fus.get(fu_name)
             if fu is None:
                 raise BindingError(f"unknown FU {fu_name!r}")
@@ -461,72 +442,51 @@ class Binding:
             self.op_fu[op_name] = fu_name
         else:
             self.op_fu.pop(op_name, None)
-        tables = self._tables
-        op_fu_col = self._op_fu_col
-        op_idx = tables.op_ids[op_name]
-        if journal is not None:
-            journal.append((op_fu_col, op_idx, op_fu_col[op_idx]))
-        op_fu_col[op_idx] = \
-            -1 if fu_name is None else tables.fu_ids[fu_name]
         self._mark(("read", op_name))
         if op.result is not None:
             self._mark(("write", op.result))
 
-        def undo() -> None:
-            self.set_op_fu(op_name, old, _validate=False)
-        return undo
-
-    def set_op_swap(self, op_name: str, flag: bool) -> Undo:
+    def set_op_swap(self, op_name: str, flag: bool) -> None:
         """Set operand-reversal for a commutative binary operation."""
         op = self.graph.ops[op_name]
         old = self.op_swap.get(op_name, False)
         if flag == old:
-            return _noop
+            return
         if flag and (op.arity != 2 or not op.commutative):
             raise BindingError(
                 f"operand reverse illegal on {op_name!r} ({op.kind})")
         journal = self._raw_journal
-        swap_col = self._op_swap_col
-        op_idx = self._tables.op_ids[op_name]
         if journal is not None:
             journal.append(
                 (self.op_swap, op_name,
                  self.op_swap.get(op_name, _ABSENT)))
-            journal.append((swap_col, op_idx, swap_col[op_idx]))
         self.op_swap[op_name] = flag
-        swap_col[op_idx] = 1 if flag else 0
         self._mark(("read", op_name))
 
-        def undo() -> None:
-            self.set_op_swap(op_name, old)
-        return undo
-
     def set_placements(self, value: str, step: int,
-                       regs: Sequence[str],
-                       _validate: bool = True) -> Undo:
+                       regs: Sequence[str]) -> None:
         """Place the segment ``(value, step)`` into *regs* (ordered copies)."""
+        seg = (value, step)
         new = tuple(regs)
-        old = self.placements.get((value, step), ())
+        old = self.placements.get(seg, ())
         if new == old:
-            return _noop
-        if _validate:
-            # undo closures skip validation: they restore a known-good state
-            if (value, step) not in self._live_pairs:
-                if value in self._port_captured:
-                    raise BindingError(
-                        f"value {value!r} is port-captured; it has no "
-                        f"segments")
+            return
+        if seg not in self._live_pairs:
+            if value in self._port_captured:
                 raise BindingError(
-                    f"value {value!r} is not live at step {step}")
-            if len(new) > 1 and len(set(new)) != len(new):
-                raise BindingError(f"duplicate registers in placement {new}")
-            for reg in new:
-                if reg not in self.regs:
-                    raise BindingError(f"unknown register {reg!r}")
-                occupant = self.reg_occ.get((reg, step))
-                if occupant is not None and occupant != value:
-                    raise BindingError(
-                        f"register {reg!r} holds {occupant!r} at step {step}")
+                    f"value {value!r} is port-captured; it has no "
+                    f"segments")
+            raise BindingError(
+                f"value {value!r} is not live at step {step}")
+        if len(new) > 1 and len(set(new)) != len(new):
+            raise BindingError(f"duplicate registers in placement {new}")
+        for reg in new:
+            if reg not in self.regs:
+                raise BindingError(f"unknown register {reg!r}")
+            occupant = self.reg_occ.get((reg, step))
+            if occupant is not None and occupant != value:
+                raise BindingError(
+                    f"register {reg!r} holds {occupant!r} at step {step}")
         # the load-counter helpers are inlined here: this is the hottest
         # primitive and the extra call per register is measurable
         reg_occ = self.reg_occ
@@ -557,94 +517,65 @@ class Binding:
             reg_load[reg] = load
             if load == 1:
                 self._reg_used_count += 1
-        if journal is not None:
-            journal.append((self.placements, (value, step),
-                            old if old else _ABSENT))
-        if new:
-            self.placements[(value, step)] = new
-        else:
-            self.placements.pop((value, step), None)
-        tables = self._tables
-        seg_idx = tables.seg_ids[(value, step)]
-        seg_col = self._seg_col
         if append is not None:
-            append((seg_col, seg_idx, seg_col[seg_idx]))
-        seg_col[seg_idx] = tables.pool.intern(new)
-        if not old:
-            # fresh dict insert (at the end): stamp its position tick
-            seg_seq = self._seg_seq
-            if append is not None:
-                append((seg_seq, seg_idx, seg_seq[seg_idx]))
-            seg_seq[seg_idx] = self._seg_tick
-            self._seg_tick += 1
+            append((self.placements, seg, old if old else _ABSENT))
+        if new:
+            self.placements[seg] = new
+            if not old:
+                # fresh dict insert (at the end): stamp its insertion tick
+                seg_seq = self._seg_seq
+                if append is not None:
+                    append((seg_seq, seg, seg_seq.get(seg, _ABSENT)))
+                seg_seq[seg] = self._seg_tick
+                self._seg_tick += 1
+        else:
+            del self.placements[seg]
         self._xfer_cache = None
         self._mark_segment_sites(value, step)
 
-        def undo() -> None:
-            self.set_placements(value, step, old, _validate=False)
-        return undo
-
     def set_read_src(self, op_name: str, port: int,
-                     reg: Optional[str]) -> Undo:
+                     reg: Optional[str]) -> None:
         """Choose which register copy consumer ``(op, port)`` reads."""
         old = self.read_src.get((op_name, port))
         if reg == old:
-            return _noop
+            return
         if reg is not None and reg not in self.regs:
             raise BindingError(f"unknown register {reg!r}")
-        tables = self._tables
-        read_idx = tables.read_ids.get((op_name, port))
-        if read_idx is None:
+        if (op_name, port) not in self._read_sites:
             raise BindingError(
                 f"({op_name!r}, {port}) is not a consumer read site")
         journal = self._raw_journal
-        read_col = self._read_col
         if journal is not None:
             journal.append(
                 (self.read_src, (op_name, port),
                  _ABSENT if old is None else old))
-            journal.append((read_col, read_idx, read_col[read_idx]))
-        read_col[read_idx] = -1 if reg is None else tables.reg_ids[reg]
         if reg is None:
-            self.read_src.pop((op_name, port), None)
+            del self.read_src[(op_name, port)]
         else:
             self.read_src[(op_name, port)] = reg
         self._mark(("read", op_name))
 
-        def undo() -> None:
-            self.set_read_src(op_name, port, old)
-        return undo
-
-    def set_out_src(self, value: str, reg: Optional[str]) -> Undo:
+    def set_out_src(self, value: str, reg: Optional[str]) -> None:
         """Choose the register the output port of *value* samples."""
         old = self.out_src.get(value)
         if reg == old:
-            return _noop
+            return
         if reg is not None and reg not in self.regs:
             raise BindingError(f"unknown register {reg!r}")
-        tables = self._tables
-        out_idx = tables.out_ids.get(value)
-        if out_idx is None:
+        if value not in self._out_port_ep:
             raise BindingError(f"{value!r} is not an output value")
         journal = self._raw_journal
-        out_col = self._out_col
         if journal is not None:
             journal.append(
                 (self.out_src, value, _ABSENT if old is None else old))
-            journal.append((out_col, out_idx, out_col[out_idx]))
-        out_col[out_idx] = -1 if reg is None else tables.reg_ids[reg]
         if reg is None:
-            self.out_src.pop(value, None)
+            del self.out_src[value]
         else:
             self.out_src[value] = reg
         self._mark(("out", value))
 
-        def undo() -> None:
-            self.set_out_src(value, old)
-        return undo
-
     def set_pt(self, value: str, dst_step: int, dst_reg: str,
-               impl: Optional[PtImpl], _validate: bool = True) -> Undo:
+               impl: Optional[PtImpl]) -> None:
         """Set or clear the pass-through implementation of one transfer.
 
         *impl* is ``(src_reg, fu, fu_port)``; ``None`` reverts the transfer
@@ -655,7 +586,7 @@ class Binding:
         key = (value, dst_step, dst_reg)
         old = self.pt_impl.get(key)
         if impl == old:
-            return _noop
+            return
         src_step = self._pred_step.get((value, dst_step))
         if src_step is None:
             raise BindingError(
@@ -663,19 +594,15 @@ class Binding:
                 f"no transfer to implement")
         if impl is not None:
             src_reg, fu_name, fu_port = impl
-            if _validate:
-                # undo closures skip these placement-relative checks: they
-                # restore a known-good state in reverse order, so placements
-                # may transiently disagree while rolling back
-                if dst_reg in self.placements.get((value, src_step), ()):
-                    raise BindingError(
-                        f"no transfer into ({value!r}, {dst_step}, "
-                        f"{dst_reg!r}): the register already holds the "
-                        f"value at step {src_step}")
-                if src_reg not in self.placements.get((value, src_step), ()):
-                    raise BindingError(
-                        f"pass-through source {src_reg!r} does not hold "
-                        f"{value!r} at step {src_step}")
+            if dst_reg in self.placements.get((value, src_step), ()):
+                raise BindingError(
+                    f"no transfer into ({value!r}, {dst_step}, "
+                    f"{dst_reg!r}): the register already holds the "
+                    f"value at step {src_step}")
+            if src_reg not in self.placements.get((value, src_step), ()):
+                raise BindingError(
+                    f"pass-through source {src_reg!r} does not hold "
+                    f"{value!r} at step {src_step}")
             fu = self.fus.get(fu_name)
             if fu is None:
                 raise BindingError(f"unknown FU {fu_name!r}")
@@ -708,13 +635,9 @@ class Binding:
             self._fu_load_add(impl[1])
             self.pt_impl[key] = impl
         else:
-            self.pt_impl.pop(key, None)
+            del self.pt_impl[key]
         self._xfer_cache = None
         self._mark(("xfer", value, dst_step))
-
-        def undo() -> None:
-            self.set_pt(value, dst_step, dst_reg, old, _validate=False)
-        return undo
 
     # ------------------------------------------------------------ site engine
 
@@ -842,8 +765,8 @@ class Binding:
                 raise BindingError(f"unknown site {key}")
             if new == old:
                 continue
-            if journal is not None and key not in journal:
-                journal[key] = old
+            if journal is not None:
+                journal.append((key, old))
             for pair in old:
                 ledger_remove(pair)
             for pair in new:
@@ -857,20 +780,19 @@ class Binding:
     # --------------------------------------------------------- move journal
 
     def begin_move(self) -> None:
-        """Start journaling for a cheap move-reject path.
+        """Open a move: journal every write until commit or abort.
 
         Between :meth:`begin_move` and :meth:`commit_move` /
         :meth:`abort_move`:
 
         * every raw/occupancy dict write is appended to a write log with
           the overwritten value;
-        * every :meth:`flush` records the first pre-change event list of
-          each site it touches.
+        * every :meth:`flush` logs the event list of each site it
+          replaces.
 
-        A rejected move is then reverted wholesale by :meth:`abort_move`
-        — replaying the write log backwards and restoring the journaled
-        site events — instead of running the move's undo closures plus a
-        second full flush.
+        A rejected move is reverted wholesale by :meth:`abort_move`; a
+        partial revert inside the still-open move goes back to a
+        :meth:`mark` through :meth:`revert_to`.
         """
         journal = self._journal_store
         journal.clear()
@@ -887,26 +809,32 @@ class Binding:
         self._journal = None
         self._raw_journal = None
 
+    def _replay_raw(self, raw: List[Tuple], start: int) -> None:
+        """Undo the logged writes from index *start* on, newest first."""
+        for dct, key, old in islice(reversed(raw), len(raw) - start):
+            if old is _ABSENT:
+                dct.pop(key, None)
+            else:
+                dct[key] = old
+        del raw[start:]
+
     def abort_move(self) -> None:
         """Revert the binding to its state at :meth:`begin_move`.
 
-        Replaces the undo-closure path entirely: the raw write log is
-        replayed most-recent-first (restoring decision dicts, occupancy
-        maps, and load counters), the use-count scalars are restored from
-        their snapshot, and the journaled site events go back into the
-        ledger verbatim.  Every site the move dirtied was either flushed
-        (journaled if its events changed) or derives to its pre-move
-        events from the restored raw state, so clearing the dirty set
-        leaves the binding exactly as flushed before the move.
+        The raw write log is replayed most-recent-first (restoring
+        decision dicts, insertion ticks, occupancy maps and load
+        counters), the use-count scalars are restored from their
+        snapshot, and the logged site events go back into the ledger,
+        newest first, so every site ends at its pre-move events.  Every
+        site the move dirtied was either flushed (and logged if its events
+        changed) or derives to its pre-move events from the restored raw
+        state, so clearing the dirty set leaves the binding exactly as
+        flushed before the move.
         """
         raw = self._raw_journal
         self._raw_journal = None
         if raw:
-            for dct, key, old in reversed(raw):
-                if old is _ABSENT:
-                    dct.pop(key, None)
-                else:
-                    dct[key] = old
+            self._replay_raw(raw, 0)
             (self._fu_used_count, self._reg_used_count,
              self._fu_used_area) = self._counter_snap
             # the restored state is exactly the pre-move state, so the
@@ -919,7 +847,7 @@ class Binding:
             ledger = self.ledger
             ledger_remove = ledger.remove_pair
             ledger_add = ledger.add_pair
-            for key, old in journal.items():
+            for key, old in reversed(journal):
                 cur = events.get(key, _NO_EVENTS)
                 if cur == old:
                     continue
@@ -932,6 +860,36 @@ class Binding:
                 else:
                     events.pop(key, None)
         self._dirty.clear()
+
+    def mark(self) -> Mark:
+        """A revert point inside the open move, for :meth:`revert_to`."""
+        raw = self._raw_journal
+        if raw is None or self._journal is None:
+            raise BindingError("mark() needs an open move (begin_move)")
+        return (len(raw), len(self._journal), self._fu_used_count,
+                self._reg_used_count, self._fu_used_area, self._xfer_cache)
+
+    def revert_to(self, mark: Mark) -> None:
+        """Undo every write since *mark*; the move stays open.
+
+        Replays the raw write log back to the mark and restores the use
+        counters.  Sites flushed since the mark still carry events derived
+        from the reverted decisions, so they are marked dirty and the next
+        :meth:`flush` re-derives them; sites dirtied but not yet flushed
+        stay dirty.  The transfer-candidate memo survives only if nothing
+        since the mark replaced it.
+        """
+        raw_len, site_len, fu_count, reg_count, fu_area, xfer = mark
+        journal = self._journal
+        self._replay_raw(self._raw_journal, raw_len)
+        self._fu_used_count = fu_count
+        self._reg_used_count = reg_count
+        self._fu_used_area = fu_area
+        if self._xfer_cache is not xfer:
+            self._xfer_cache = None
+        dirty = self._dirty
+        for index in range(site_len, len(journal)):
+            dirty.add(journal[index][0])
 
     # ------------------------------------------------------------------- cost
 
@@ -1014,7 +972,7 @@ class Binding:
         Two bindings with the same decisions must produce bit-identical
         snapshots; :mod:`repro.verify.sanitizer` compares the live binding
         against a shadow rebuilt from :meth:`clone_state` to detect stale
-        sites, bad undo closures, or ledger drift.
+        sites, incomplete rollbacks, or ledger drift.
         """
         if self._dirty:
             self.flush()
@@ -1036,196 +994,30 @@ class Binding:
         twin.restore_state(self.clone_state())
         return twin
 
-    def clone_state(self) -> CompactState:
-        """Compact snapshot of the decision state (for best-so-far).
+    def clone_state(self) -> Dict[str, Dict]:
+        """Snapshot of the decision state (for best-so-far and codecs).
 
-        Column slices plus shallow copies of the derived state — no
-        per-key dict copying.  The result is a read-only
-        :class:`~repro.core.arraystate.CompactState`; it also behaves as
-        the legacy ``{"op_fu": {...}, ...}`` mapping for name-keyed
-        consumers (codecs, cross-binding restores).
+        Name-keyed copies of the six decision dicts, keyed sections sorted,
+        swap flags stored only when ``True``, and ``placements`` listed in
+        insertion-tick order (see ``_seg_seq``): :meth:`restore_state`
+        re-enters differing segments in that order, so it is part of the
+        search trajectory.
         """
-        if self._dirty:
-            self.flush()
-        derived = DerivedSnapshot(
-            reg_occ=dict(self.reg_occ),
-            fu_tokens=dict(self.fu_tokens),
-            fu_load=dict(self._fu_load),
-            reg_load=dict(self._reg_load),
-            fu_by_type=dict(self._fu_used_by_type),
-            counters=(self._fu_used_count, self._reg_used_count,
-                      self._fu_used_area),
-            site_events=dict(self._site_events),
-            ledger=self.ledger.snapshot(),
-        )
-        return CompactState(
-            tables=self._tables,
-            op_fu=self._op_fu_col[:],
-            op_swap=self._op_swap_col[:],
-            read_src=self._read_col[:],
-            out_src=self._out_col[:],
-            seg=self._seg_col[:],
-            seg_seq=self._seg_seq[:],
-            pt=tuple(sorted(self.pt_impl.items())),
-            derived=derived,
-        )
+        placements = self.placements
+        return {
+            "op_fu": dict(sorted(self.op_fu.items())),
+            "op_swap": {op: True for op, flag
+                        in sorted(self.op_swap.items()) if flag},
+            "placements": {seg: placements[seg] for seg in
+                           sorted(placements,
+                                  key=self._seg_seq.__getitem__)},
+            "read_src": dict(sorted(self.read_src.items())),
+            "out_src": dict(sorted(self.out_src.items())),
+            "pt_impl": dict(sorted(self.pt_impl.items())),
+        }
 
-    def restore_state(self, state: Mapping) -> None:
-        """Restore a snapshot taken with :meth:`clone_state`.
-
-        A :class:`~repro.core.arraystate.CompactState` made by **this**
-        binding takes the fast path (:meth:`_restore_fast`): column diffs
-        applied to the decision dicts plus a bulk copy of the clone-time
-        derived state — no site is re-derived.  Anything else — a legacy
-        name-keyed dict, or a compact snapshot from another binding (the
-        sanitizer's shadow rebuild, ``duplicate``, a deserialized warm
-        start) — goes through :meth:`_restore_mapping`, which mutates via
-        the primitives and re-derives the dirty sites, keeping the
-        shadow-rebuild oracle independent of this binding's derived state.
-        Both paths yield bit-identical dict iteration orders and search
-        trajectories.
-        """
-        if isinstance(state, CompactState):
-            if (state.tables is self._tables and state.derived is not None
-                    and self._raw_journal is None):
-                self._restore_fast(state)
-            else:
-                self._restore_mapping(state.to_mapping())
-            return
-        self._restore_mapping(state)
-
-    def _restore_fast(self, state: CompactState) -> None:
-        """Same-binding diff-replay restore from the array columns.
-
-        For each column, a C-speed array compare decides whether anything
-        changed; only differing indices touch the name-keyed dicts.
-        Removed placements are popped first, then the snapshot's differing
-        segments are re-inserted in ascending clone-time ``seg_seq`` with
-        fresh ticks — reproducing exactly the dict order the primitive
-        path would produce ([unchanged keys in live order] + [restored
-        keys in snapshot order]).  Derived state is then bulk-copied from
-        the clone-time :class:`DerivedSnapshot` instead of re-derived.
-        """
-        if self._dirty:
-            self.flush()
-        tables = self._tables
-        changed = False
-        xfer_dirty = False
-
-        seg_col = self._seg_col
-        snap_seg = state.seg
-        if seg_col != snap_seg:
-            changed = True
-            xfer_dirty = True
-            placements = self.placements
-            seg_keys = tables.seg_keys
-            pool_tuples = tables.pool.tuples
-            snap_seq = state.seg_seq
-            diff = [i for i, (live, want)
-                    in enumerate(zip(seg_col, snap_seg)) if live != want]
-            for i in diff:
-                if seg_col[i]:
-                    del placements[seg_keys[i]]
-            seg_seq = self._seg_seq
-            tick = self._seg_tick
-            for _pos, i in sorted((snap_seq[i], i) for i in diff
-                                  if snap_seg[i]):
-                placements[seg_keys[i]] = pool_tuples[snap_seg[i]]
-                seg_seq[i] = tick
-                tick += 1
-            self._seg_tick = tick
-            seg_col[:] = snap_seg
-
-        col = self._op_fu_col
-        snap = state.op_fu
-        if col != snap:
-            changed = True
-            op_names = tables.op_names
-            fu_names = tables.fu_names
-            op_fu = self.op_fu
-            for i, (live, want) in enumerate(zip(col, snap)):
-                if live != want:
-                    if want < 0:
-                        op_fu.pop(op_names[i], None)
-                    else:
-                        op_fu[op_names[i]] = fu_names[want]
-            col[:] = snap
-
-        col = self._op_swap_col
-        snap = state.op_swap
-        if col != snap:
-            changed = True
-            op_names = tables.op_names
-            op_swap = self.op_swap
-            for i, (live, want) in enumerate(zip(col, snap)):
-                if live != want:
-                    if want:
-                        op_swap[op_names[i]] = True
-                    else:
-                        op_swap.pop(op_names[i], None)
-            col[:] = snap
-
-        col = self._read_col
-        snap = state.read_src
-        if col != snap:
-            changed = True
-            read_keys = tables.read_keys
-            reg_names = tables.reg_names
-            read_src = self.read_src
-            for i, (live, want) in enumerate(zip(col, snap)):
-                if live != want:
-                    if want < 0:
-                        read_src.pop(read_keys[i], None)
-                    else:
-                        read_src[read_keys[i]] = reg_names[want]
-            col[:] = snap
-
-        col = self._out_col
-        snap = state.out_src
-        if col != snap:
-            changed = True
-            out_values = tables.out_values
-            reg_names = tables.reg_names
-            out_src = self.out_src
-            for i, (live, want) in enumerate(zip(col, snap)):
-                if live != want:
-                    if want < 0:
-                        out_src.pop(out_values[i], None)
-                    else:
-                        out_src[out_values[i]] = reg_names[want]
-            col[:] = snap
-
-        if tuple(sorted(self.pt_impl.items())) != state.pt:
-            changed = True
-            xfer_dirty = True
-            self.pt_impl.clear()
-            self.pt_impl.update(state.pt)
-
-        if not changed:
-            return
-
-        derived = state.derived
-        assert derived is not None
-        self.reg_occ.clear()
-        self.reg_occ.update(derived.reg_occ)
-        self.fu_tokens.clear()
-        self.fu_tokens.update(derived.fu_tokens)
-        self._fu_load.clear()
-        self._fu_load.update(derived.fu_load)
-        self._reg_load.clear()
-        self._reg_load.update(derived.reg_load)
-        self._fu_used_by_type.clear()
-        self._fu_used_by_type.update(derived.fu_by_type)
-        (self._fu_used_count, self._reg_used_count,
-         self._fu_used_area) = derived.counters
-        self._site_events.clear()
-        self._site_events.update(derived.site_events)
-        self.ledger.restore(derived.ledger)
-        if xfer_dirty:
-            self._xfer_cache = None
-
-    def _restore_mapping(self, state: Mapping) -> None:
-        """Restore a legacy name-keyed snapshot through the primitives.
+    def restore_state(self, state: Mapping[str, Mapping]) -> None:
+        """Restore a :meth:`clone_state` snapshot through the primitives.
 
         Diff-based: only keys whose value differs between the live state
         and the snapshot are touched, so restoring a near-identical state
@@ -1233,6 +1025,9 @@ class Binding:
         mutation goes through the primitives, so the derived state is
         re-derived incrementally and independently of the snapshot's
         origin — the property the sanitizer's shadow rebuild relies on.
+        The result is a function of the live state and the snapshot
+        alone: unchanged placements keep their live dict position and
+        differing ones re-enter in snapshot order.
 
         Clear-then-set ordering keeps every intermediate state legal:
         stale pass-throughs are dropped first (they pin FU tokens and
@@ -1241,14 +1036,13 @@ class Binding:
         snapshot's pass-throughs are re-bound last, once the placements
         they validate against are in place.
         """
-        op_fu: Dict[str, Optional[str]] = state["op_fu"]  # type: ignore
-        placements: Dict[Tuple[str, int], Tuple[str, ...]] = \
-            state["placements"]                           # type: ignore
-        op_swap: Dict[str, bool] = state["op_swap"]       # type: ignore
-        read_src: Dict[Tuple[str, int], str] = state["read_src"]  # type: ignore
-        out_src: Dict[str, str] = state["out_src"]        # type: ignore
-        pt_impl: Dict[Tuple[str, int, str], PtImpl] = \
-            state["pt_impl"]                              # type: ignore
+        op_fu: Mapping[str, str] = state["op_fu"]
+        placements: Mapping[Tuple[str, int], Sequence[str]] = \
+            state["placements"]
+        op_swap: Mapping[str, bool] = state["op_swap"]
+        read_src: Mapping[Tuple[str, int], str] = state["read_src"]
+        out_src: Mapping[str, str] = state["out_src"]
+        pt_impl: Mapping[Tuple[str, int, str], Sequence] = state["pt_impl"]
 
         # 1. drop pass-throughs that the snapshot lacks or implements
         #    differently (frees their FU tokens and placement references)
@@ -1290,7 +1084,3 @@ class Binding:
             if self.pt_impl.get(key) != tuple(impl):
                 self.set_pt(key[0], key[1], key[2], tuple(impl))
         self.flush()
-
-
-def _noop() -> None:
-    return None

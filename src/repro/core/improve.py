@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.rng import RngLike, WeightedChooser, make_rng
 from repro.core.binding import Binding
-from repro.core.moves import MoveSet, rollback
+from repro.core.moves import MoveSet
 from repro.core.polish import polish
 from repro.datapath.cost import CostBreakdown, CostWeights
 from repro.verify.sanitizer import make_sanitizer
@@ -70,9 +70,9 @@ class ImproveConfig:
     #: state through ``clone_state()`` → ``restore_state(best)`` →
     #: ``restore_state(clone)`` before searching.  Content-preserving (the
     #: trial still starts from exactly the state it would have), but it
-    #: drives the diff-replay restore machinery across a real diff twice
-    #: per churn, so a restore bug surfaces as a sanitizer/differential
-    #: failure instead of hiding behind the rare once-per-trial restore.
+    #: drives ``restore_state`` across a real diff twice per churn, so a
+    #: restore bug surfaces as a sanitizer/differential failure instead
+    #: of hiding behind the rare once-per-trial restore.
     #: Not trajectory-neutral: restores reconcile dict iteration order, so
     #: runs with different churn settings are each deterministic but not
     #: comparable move-for-move
@@ -330,11 +330,11 @@ def improve(binding: Binding,
             begin_move()
             if sampled:
                 tick = time.perf_counter_ns()
-                undos = fns[name](binding, rng)
+                applied = fns[name](binding, rng)
                 stats.add_phase("propose", time.perf_counter_ns() - tick)
             else:
-                undos = fns[name](binding, rng)
-            if undos is None:
+                applied = fns[name](binding, rng)
+            if not applied:
                 commit_move()  # no-op move: nothing to revert
                 continue
             counters.applies += 1
@@ -362,8 +362,6 @@ def improve(binding: Binding,
                     sanitizer.after_accept(name, attempted)
             else:
                 counters.rollbacks += 1
-                # abort_move replays the write journal; the undo closures
-                # in `undos` are not needed on this path
                 if sampled:
                     tick = time.perf_counter_ns()
                     abort_move()

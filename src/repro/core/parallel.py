@@ -125,13 +125,11 @@ class RestartJob:
     configs: Tuple[ImproveConfig, ...]
     weights: CostWeights = CostWeights()
     allow_split: bool = True
-    #: optional decision-state snapshot (``Binding.clone_state`` /
-    #: :class:`~repro.core.arraystate.CompactState`) restored on top of the
-    #: constructive initial allocation before the first improvement pass —
-    #: the warm-start seam used by ``repro.service`` to reuse a cached
-    #: allocation of the same problem shape.  Compact states pickle as flat
-    #: integer columns, so shipping one to a worker never deep-copies
-    #: per-op objects.
+    #: optional name-keyed decision-state snapshot (``Binding.clone_state``)
+    #: restored on top of the constructive initial allocation before the
+    #: first improvement pass — the warm-start seam used by
+    #: ``repro.service`` to reuse a cached allocation of the same problem
+    #: shape.
     warm_state: Optional[Mapping[str, object]] = None
 
 

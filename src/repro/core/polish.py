@@ -9,9 +9,8 @@ repeats until a full pass makes no progress.
 
 Every candidate runs inside a ``begin_move``/``commit_move``/``abort_move``
 journal bracket: a rejected or illegal candidate is reverted by replaying
-the binding's write journal (:meth:`~repro.core.binding.Binding.abort_move`)
-rather than by running undo closures plus a second flush — the same cheap
-reject path the randomized engine uses.
+the binding's write journal (:meth:`~repro.core.binding.Binding.abort_move`),
+the same cheap reject path the randomized engine uses.
 
 The randomized engine (:mod:`repro.core.improve`) supplies the global
 exploration; polishing collapses the search variance at the bottom of each
@@ -21,12 +20,12 @@ models meaningful.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import BindingError
 from repro.core.binding import Binding
 from repro.core.moves import (MoveSet, _best_pt_choice, _direct_transfers,
-                              fixup_segment, rollback)
+                              _swap_segments, fixup_segment)
 import random
 
 
@@ -161,12 +160,13 @@ def sweep_segment_hops(binding: Binding, current: float,
                         impl = _best_pt_choice(binding, rng, value,
                                                run[0], reg, src_step)
                         if impl is not None:
-                            # inner trial inside the open journal: revert
-                            # with its own undo closure, not abort_move
-                            trial = [binding.set_pt(value, run[0], reg, impl)]
+                            # inner trial inside the open move: a losing
+                            # pass-through reverts to its own mark, the
+                            # hop itself stays applied
+                            mark = binding.mark()
+                            binding.set_pt(value, run[0], reg, impl)
                             if binding.total_cost() >= hop_cost - 1e-9:
-                                rollback(trial)
-                                binding.flush()
+                                binding.revert_to(mark)
                 except BindingError:
                     binding.abort_move()
                     continue
@@ -179,8 +179,6 @@ def sweep_segment_hops(binding: Binding, current: float,
 def sweep_value_exchanges(binding: Binding, current: float) -> float:
     """Try swapping the placements of every pair of values stepwise at
     their shared live steps (exhaustive R1/R3 neighborhood)."""
-    from repro.core.moves import _swap_segments
-
     values = [v for v in sorted(binding.graph.values)
               if not binding.port_captured(v)]
     for i, v1 in enumerate(values):
@@ -190,10 +188,9 @@ def sweep_value_exchanges(binding: Binding, current: float) -> float:
             if not shared:
                 continue
             binding.begin_move()
-            undos: List = []
             try:
                 for step in shared:
-                    _swap_segments(binding, v1, v2, step, undos)
+                    _swap_segments(binding, v1, v2, step)
             except BindingError:
                 binding.abort_move()
                 continue

@@ -28,9 +28,7 @@ Internally the refcounts live in slot-indexed integer columns, not a
 ``dict``: each distinct pair ever seen is interned to a dense *slot* id and
 each sink to a dense sink id, and the hot state is two flat lists of ints
 (``uses`` per slot, ``fanin`` per sink).  Slots are append-only for the
-life of the ledger, which is what makes :meth:`snapshot` two list copies
-and :meth:`restore` two slice assignments — any slot allocated after a
-snapshot necessarily had zero uses when it was taken.
+life of the ledger.
 """
 
 from __future__ import annotations
@@ -42,10 +40,6 @@ from repro.errors import DatapathError
 
 Endpoint = Tuple  # ("fu_out", name) etc.
 Connection = Tuple[Endpoint, Endpoint]
-
-#: snapshot payload: (uses column, fanin column, mux total, wire total,
-#: depth total)
-LedgerSnapshot = Tuple[List[int], List[int], int, int, int]
 
 
 def fu_out(fu: str) -> Endpoint:
@@ -170,37 +164,6 @@ class ConnectionLedger:
         remove_pair = self.remove_pair
         for pair in events:
             remove_pair(pair)
-
-    # -- bulk state -----------------------------------------------------------
-
-    def snapshot(self) -> LedgerSnapshot:
-        """O(slots) copy of the refcount columns for :meth:`restore`.
-
-        Valid only against the same ledger instance: the payload stores no
-        keys, just counts per slot/sink id.
-        """
-        return (self._uses[:], self._fanin[:], self._mux_total,
-                self._wire_total, self._depth_total)
-
-    def restore(self, snap: LedgerSnapshot) -> None:
-        """Rewind this ledger's counts to a :meth:`snapshot` of **itself**.
-
-        Slots and sink ids allocated after the snapshot are zeroed — they
-        had zero uses when it was taken (slots are append-only and never
-        reused).
-        """
-        uses, fanin, mux_total, wire_total, depth_total = snap
-        live_uses = self._uses
-        live_uses[:len(uses)] = uses
-        for slot in range(len(uses), len(live_uses)):
-            live_uses[slot] = 0
-        live_fanin = self._fanin
-        live_fanin[:len(fanin)] = fanin
-        for sink_id in range(len(fanin), len(live_fanin)):
-            live_fanin[sink_id] = 0
-        self._mux_total = mux_total
-        self._wire_total = wire_total
-        self._depth_total = depth_total
 
     # -- queries --------------------------------------------------------------
 

@@ -48,7 +48,8 @@ reusing the failed trajectory); deterministic
 :class:`~repro.errors.ReproError`\\ s fail immediately.
 
 Warm starts: every successful job publishes its winning decision-state
-snapshot under ``warm_<shape-key>``; a request with ``warm_start: true``
+snapshot (the result's name-keyed ``best_state``) under
+``warm_<shape-key>``; a request with ``warm_start: true``
 whose exact key misses but whose shape key hits restores that snapshot on
 top of the constructive initial allocation before searching.  Warm-started
 results are themselves kept out of the exact-key cache, because their
@@ -70,7 +71,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import ReproError
 from repro.alloc.checker import assert_legal
-from repro.core.arraystate import PAYLOAD_FORMAT, CompactState
 from repro.core.allocator import SalsaAllocator, TraditionalAllocator
 from repro.core.anneal import AnnealConfig, anneal
 from repro.core.improve import ImproveConfig, ImproveStats
@@ -163,10 +163,6 @@ class Job:
     deadline_mono: Optional[float] = None
     done_event: threading.Event = field(default_factory=threading.Event)
     cancel_event: threading.Event = field(default_factory=threading.Event)
-    #: compact warm snapshot of the winning state
-    #: (``CompactState.to_payload`` as canonical JSON), published to the
-    #: warm store when the job finishes; internal, never in ``describe()``
-    warm_payload: Optional[bytes] = field(default=None, repr=False)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self.done_event.wait(timeout)
@@ -227,6 +223,40 @@ def run_anneal_restart(job: RestartJob, overrides: Mapping[str, Any],
     return RestartOutcome(index=job.index, state=binding.clone_state(),
                           cost=binding.cost(), stats=[stats],
                           seconds=time.perf_counter() - started)
+
+
+#: format marker of the warm snapshots older builds wrote: dense-id integer
+#: columns plus the id tables they index
+COMPACT_STATE_V1 = "compact-state-v1"
+
+
+def compact_state_v1_to_state(data: Mapping[str, Any]) -> Dict[str, Any]:
+    """Convert an old ``compact-state-v1`` warm payload to the name-keyed
+    snapshot :meth:`~repro.core.binding.Binding.restore_state` takes.
+
+    Each column holds ids into the payload's own tables, ``-1`` for unset;
+    ``seg`` holds placement-pool ids, ``0`` for an unplaced segment.
+    Placements come out in sorted-segment order, as a decoded payload
+    always restored.
+    """
+    tables = data["tables"]
+    ops, fus, regs = tables["ops"], tables["fus"], tables["regs"]
+    pool = [tuple(placement) for placement in data["pool"]]
+    segs = sorted(((value, step), pid)
+                  for (value, step), pid in zip(tables["segs"], data["seg"]))
+    return {
+        "op_fu": {ops[i]: fus[f] for i, f in enumerate(data["op_fu"])
+                  if f >= 0},
+        "op_swap": {ops[i]: True for i, flag in enumerate(data["op_swap"])
+                    if flag},
+        "placements": {seg: pool[pid] for seg, pid in segs if pid},
+        "read_src": {(op, port): regs[r] for (op, port), r
+                     in zip(tables["reads"], data["read_src"]) if r >= 0},
+        "out_src": {value: regs[r] for value, r
+                    in zip(tables["outs"], data["out_src"]) if r >= 0},
+        "pt_impl": dict(sorted(((value, step, reg), tuple(impl))
+                               for value, step, reg, impl in data["pt"])),
+    }
 
 
 class JobManager:
@@ -666,12 +696,10 @@ class JobManager:
             if not result["degraded"] and not result["warm_started"]:
                 self.cache.put(job.key,
                                canonical_dumps(result).encode("utf-8"))
-            # the warm store holds the compact array payload: decoding it
-            # rebuilds flat integer columns, never per-op/per-segment
-            # Python object graphs
-            warm_blob = job.warm_payload or canonical_dumps(
-                result["best_state"]).encode("utf-8")
-            self.cache.put("warm_" + job.shape_key, warm_blob)
+            # the warm store holds the name-keyed best_state snapshot
+            self.cache.put("warm_" + job.shape_key,
+                           canonical_dumps(
+                               result["best_state"]).encode("utf-8"))
         self._finish(job, DONE)
         self._job_seconds.observe(time.monotonic() - started)
 
@@ -699,11 +727,10 @@ class JobManager:
         try:
             data = _json.loads(payload.decode("utf-8"))
             if isinstance(data, dict) and \
-                    data.get("format") == PAYLOAD_FORMAT:
-                return CompactState.from_payload(data)
-            # legacy name-keyed snapshot left by an older server build
+                    data.get("format") == COMPACT_STATE_V1:
+                return compact_state_v1_to_state(data)
             return decode_state(data)
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, IndexError):
             return None  # torn/old snapshot: fall back to a cold start
 
     def _memo_schedule(self, shape_key: str) -> Optional[Schedule]:
@@ -773,8 +800,6 @@ class JobManager:
         binding = rebuild_binding(restart_jobs[best.index], best)
         # even a degraded best-so-far answer must be a *legal* allocation
         assert_legal(binding)
-        job.warm_payload = canonical_dumps(
-            binding.clone_state().to_payload()).encode("utf-8")
 
         all_stats: List[ImproveStats] = \
             [s for outcome in outcomes for s in outcome.stats]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -295,13 +296,26 @@ def make_server(host: str = "127.0.0.1", port: int = 8977,
     return server, svc
 
 
+def _interrupt_on_sigterm(signum: int, frame: Any) -> None:
+    # later SIGTERMs must not cut the shutdown below short
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
 def serve_forever(host: str = "127.0.0.1", port: int = 8977,
                   **service_kwargs: Any) -> None:
-    """Run the service until interrupted (the ``serve`` CLI command)."""
+    """Run the service until interrupted (the ``serve`` CLI command).
+
+    SIGTERM shuts down like Ctrl-C: the worker pool is closed, so a
+    process-mode server leaves no forked worker behind.
+    """
     server, svc = make_server(host, port, **service_kwargs)
     bound_port = server.server_address[1]
     print(f"repro.service listening on http://{host}:{bound_port} "
           f"(POST /allocate, GET /jobs/<id>, /healthz, /metricsz)")
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, _interrupt_on_sigterm)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -310,6 +324,8 @@ def serve_forever(host: str = "127.0.0.1", port: int = 8977,
         server.shutdown()
         server.server_close()
         svc.close()
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 class ServerThread:

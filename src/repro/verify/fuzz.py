@@ -24,8 +24,8 @@ as runnable scripts.  ``python -m repro.verify`` is the CLI entry point.
 
 The module also hosts the test-only fault-injection hook
 (:class:`BrokenUndoMoveSet`, ``inject="undo"``) used to prove the pipeline
-end-to-end: an injected bad undo closure must be caught by the sanitizer,
-shrunk, and emitted as a reproducer.
+end-to-end: a move write hidden from the rollback journal must be caught
+by the sanitizer, shrunk, and emitted as a reproducer.
 """
 
 from __future__ import annotations
@@ -144,11 +144,12 @@ class FuzzConfig:
     shrink_attempts: int = 48
     out_dir: Optional[str] = None
     known_buckets: Optional[str] = None
-    #: test-only fault injection ("undo" breaks one move's undo closure)
+    #: test-only fault injection ("undo" hides one move write from the
+    #: rollback journal)
     inject: Optional[str] = None
     #: when > 0, every Nth improvement trial round-trips the binding
     #: through clone/restore (``ImproveConfig.restore_churn``), stressing
-    #: the diff-replay restore path under the sanitizer
+    #: the restore path under the sanitizer
     restore_churn: int = 0
     #: additionally run the RTL round-trip lane per case: interpret the
     #: CDFG, simulate the emitted netlist cycle-accurately, diff outputs,
@@ -162,15 +163,13 @@ class BrokenUndoMoveSet(MoveSet):
     """Test-only move set whose victim move cannot be rolled back cleanly.
 
     From the *arm_at*-th application of the victim move onward, the victim
-    additionally toggles one operand-swap flag *outside* all rollback
-    bookkeeping: the extra mutation is in neither the returned undo-closure
-    list (breaking engines that revert via undo closures, like ``anneal``)
-    nor the binding's write journal (breaking engines that revert via
-    ``Binding.abort_move``, like ``improve``).  The binding stays legal —
-    the toggle is an ordinary primitive — but rolling the move back leaves
-    it silently different from the pre-move state, exactly the
-    incomplete-rollback class of bug the shadow-state sanitizer exists to
-    catch.  Never use outside tests and fuzz fault-injection runs.
+    additionally toggles one operand-swap flag *outside* the binding's
+    write journal, so ``Binding.abort_move`` — the rollback of both
+    ``improve`` and ``anneal`` — cannot revert it.  The binding stays
+    legal — the toggle is an ordinary primitive — but rolling the move
+    back leaves it silently different from the pre-move state, exactly
+    the incomplete-rollback class of bug the shadow-state sanitizer exists
+    to catch.  Never use outside tests and fuzz fault-injection runs.
     """
 
     def __init__(self, victim: str = "R2", arm_at: int = 1) -> None:
@@ -186,8 +185,8 @@ class BrokenUndoMoveSet(MoveSet):
 
     def _wrap(self, fn):
         def buggy(binding, rng):
-            undos = fn(binding, rng)
-            if undos:
+            applied = fn(binding, rng)
+            if applied:
                 self.applications += 1
                 if self.applications >= self.arm_at and \
                         binding.commutative_ops:
@@ -195,11 +194,11 @@ class BrokenUndoMoveSet(MoveSet):
                     raw = binding._raw_journal
                     binding._raw_journal = None  # hide from abort_move
                     try:
-                        binding.set_op_swap(  # undo deliberately dropped
+                        binding.set_op_swap(
                             op, not binding.op_swap.get(op, False))
                     finally:
                         binding._raw_journal = raw
-            return undos
+            return applied
         return buggy
 
 
@@ -319,15 +318,15 @@ def _check_invariants(case: FuzzCase, trad: AllocationResult,
             raise AssertionError(
                 f"mux merge increased cost on {result.label}: {report}")
 
-    # pass-through removal round-trips: unbind + undo restores everything
+    # pass-through removal round-trips: unbind + abort restores everything
     binding = salsa.binding
     for key in sorted(binding.pt_impl):
         before_cost = binding.cost()
         before_derived = binding.derived_snapshot()
-        undo = binding.set_pt(key[0], key[1], key[2], None)
+        binding.begin_move()
+        binding.set_pt(key[0], key[1], key[2], None)
         binding.flush()
-        undo()
-        binding.flush()
+        binding.abort_move()
         if binding.cost() != before_cost or \
                 binding.derived_snapshot() != before_derived:
             raise AssertionError(

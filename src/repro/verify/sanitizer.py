@@ -1,17 +1,22 @@
 """Shadow-state sanitizer for the incremental binding engine.
 
-The allocator's hot loop trusts two delicate mechanisms: every move is a
-list of primitive mutations with *undo closures*, and only dirty connection
-sites are re-derived on :meth:`~repro.core.binding.Binding.flush`.  A stale
-site or a bad undo silently corrupts the mux count the whole search
+The allocator's hot loop trusts two delicate mechanisms: every move is
+reverted by replaying the binding's *write journal* (the one rollback:
+:meth:`~repro.core.binding.Binding.abort_move`, and
+:meth:`~repro.core.binding.Binding.revert_to` inside an open move), and
+only dirty connection sites are re-derived on
+:meth:`~repro.core.binding.Binding.flush`.  A stale site or a write that
+bypassed the journal silently corrupts the mux count the whole search
 optimizes.  This module is the opt-in referee for that machinery:
 
 * **shadow-rebuild equivalence** — every N accepted moves a fresh
-  :class:`~repro.core.binding.Binding` is rebuilt from
-  :meth:`~repro.core.binding.Binding.clone_state` and its derived state
-  (occupancy maps, FU tokens, per-site events, per-connection ledger
-  refcounts) plus its :class:`~repro.datapath.cost.CostBreakdown` must be
-  bit-identical to the live binding's;
+  :class:`~repro.core.binding.Binding` is rebuilt from the name-keyed
+  :meth:`~repro.core.binding.Binding.clone_state` snapshot through the one
+  restore path (:meth:`~repro.core.binding.Binding.restore_state`, a
+  primitive replay), and its derived state (occupancy maps, FU tokens,
+  per-site events, per-connection ledger refcounts) plus its
+  :class:`~repro.datapath.cost.CostBreakdown` must be bit-identical to
+  the live binding's;
 * **apply→rollback round-trips** — a probed move that gets rolled back must
   restore the exact prior raw *and* derived state;
 * the full legality checker (:func:`repro.alloc.checker.check_binding`,

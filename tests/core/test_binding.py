@@ -1,5 +1,7 @@
 """Unit tests for the extended binding state and its primitives."""
 
+import random
+
 import pytest
 
 from repro.errors import BindingError
@@ -69,9 +71,11 @@ class TestOpBinding:
     def test_undo_restores(self):
         b = small_binding()
         b.set_op_fu("op1", "adder0")
-        undo = b.set_op_fu("op1", "adder1")
-        undo()
+        b.begin_move()
+        b.set_op_fu("op1", "adder1")
+        b.abort_move()
         assert b.op_fu["op1"] == "adder0"
+        assert b.fu_tokens == {("adder0", 0): ("op", "op1")}
 
     def test_swap_requires_commutative(self):
         b = CDFGBuilder("s")
@@ -124,8 +128,9 @@ class TestPlacements:
     def test_undo(self):
         b = small_binding()
         b.set_placements("V1", 1, ("R0",))
-        undo = b.set_placements("V1", 1, ("R1",))
-        undo()
+        b.begin_move()
+        b.set_placements("V1", 1, ("R1",))
+        b.abort_move()
         assert b.segment_regs("V1", 1) == ("R0",)
         assert ("R1", 1) not in b.reg_occ
 
@@ -206,10 +211,121 @@ class TestSnapshots:
         cost = binding.cost().total
         # scramble: move an op and a value
         import random
-        from repro.core.moves import MoveSet, rollback
+        from repro.core.moves import MoveSet
         rng = random.Random(3)
         for name, fn, _w in MoveSet().enabled_moves():
+            binding.begin_move()
             fn(binding, rng)
+            binding.commit_move()
         binding.restore_state(snap)
         assert binding.cost().total == pytest.approx(cost)
         assert check_binding(binding) == []
+
+
+def tick_order(binding):
+    """Placements in insertion-tick order (the order snapshots list)."""
+    return list(binding.clone_state()["placements"])
+
+
+def exact_state(binding):
+    """Everything a rollback must restore bit-for-bit."""
+    return (binding.derived_snapshot(), binding.cost_from_scratch(),
+            binding.clone_state(), tick_order(binding))
+
+
+def swappable_step(binding):
+    """A step with two placed values, the first not last in dict order."""
+    keys = list(binding.placements)
+    for index, (v1, step) in enumerate(keys[:-1]):
+        for v2, other in keys[index + 1:]:
+            if other == step and v2 != v1:
+                return v1, v2, step
+    raise AssertionError("no step holds two placed values")
+
+
+class TestJournal:
+    """The write journal is the binding's one rollback mechanism."""
+
+    def test_mark_needs_an_open_move(self, ewf19_binding):
+        with pytest.raises(BindingError, match="open move"):
+            ewf19_binding.mark()
+
+    def test_abort_restores_old_ticks_not_dict_order(self, ewf19_binding):
+        from repro.core.moves import _swap_segments
+        binding = ewf19_binding
+        v1, v2, step = swappable_step(binding)
+        before = exact_state(binding)
+        order = list(binding.placements)
+        binding.begin_move()
+        _swap_segments(binding, v1, v2, step)  # pops and re-inserts v1
+        binding.flush()
+        binding.abort_move()
+        assert exact_state(binding) == before
+        assert before[3] == order
+        # the popped key came back at the end of the dict, but with its
+        # old tick, so snapshots still list the pre-move order
+        assert list(binding.placements) != order
+        assert list(binding.placements)[-1] == (v1, step)
+
+    def test_revert_to_mark_after_flush(self, ewf19_binding):
+        """The polish pass-through trial: hop, flush, bind a
+        pass-through, flush, revert to the mark taken between them."""
+        from repro.core.moves import _best_pt_choice, fixup_segment
+        binding = ewf19_binding
+        rng = random.Random(0)
+        pre_move = exact_state(binding)
+        for value in binding.movable_multi_step:
+            steps = binding.interval(value).steps
+            if any(len(binding.segment_regs(value, s)) != 1
+                   for s in steps):
+                continue
+            for reg in binding.regs_sorted:
+                if reg == binding.segment_regs(value, steps[-1])[0] or \
+                        not binding.reg_free(reg, steps[-1]):
+                    continue
+                binding.begin_move()
+                binding.set_placements(value, steps[-1], (reg,))
+                fixup_segment(binding, value, steps[-1])
+                binding.total_cost()
+                impl = _best_pt_choice(binding, rng, value, steps[-1], reg,
+                                       steps[-2])
+                if impl is None:
+                    binding.abort_move()
+                    continue
+                at_mark = exact_state(binding)
+                mark = binding.mark()
+                binding.set_pt(value, steps[-1], reg, impl)
+                binding.total_cost()  # flush between apply and revert
+                assert binding.pt_impl
+                binding.revert_to(mark)
+                assert exact_state(binding) == at_mark
+                assert not binding.pt_impl
+                binding.abort_move()
+                assert exact_state(binding) == pre_move
+                return
+        pytest.fail("no hop with a pass-through choice found")
+
+    def test_revert_to_mark_after_binding_error(self, ewf19_binding):
+        """A move's retry: writes since the mark, then a BindingError
+        mid-move, revert with nothing flushed in between."""
+        from repro.core.moves import _swap_segments
+        binding = ewf19_binding
+        v1, v2, step = swappable_step(binding)
+        pre_move = exact_state(binding)
+        binding.begin_move()
+        _swap_segments(binding, v1, v2, step)  # an earlier try, kept
+        expected = binding.duplicate()
+        ticks = tick_order(binding)
+        mark = binding.mark()
+        _swap_segments(binding, v1, v2, step)  # pops and re-inserts again
+        occupied = binding.segment_regs(v2, step)[0]
+        with pytest.raises(BindingError, match="holds"):
+            binding.set_placements(v1, step, (occupied,))
+        binding.revert_to(mark)
+        assert tick_order(binding) == ticks
+        assert binding.clone_state() == expected.clone_state()
+        assert binding.derived_snapshot() == expected.derived_snapshot()
+        assert binding.cost_from_scratch() == expected.cost_from_scratch()
+        assert binding.cost() == expected.cost()
+        binding.abort_move()
+        assert exact_state(binding) == pre_move

@@ -56,8 +56,8 @@ def test_total_cost_tracks_cost_exactly(index):
     for _ in range(150):
         _name, fn, _weight = moves[rng.randrange(len(moves))]
         binding.begin_move()
-        undos = fn(binding, rng)
-        if undos is None or rng.random() < 0.5:
+        applied = fn(binding, rng)
+        if not applied or rng.random() < 0.5:
             binding.commit_move()
         else:
             binding.abort_move()

@@ -1,8 +1,10 @@
 """Unit tests for the SALSA move set (paper Table 1).
 
 Every move is exercised through a randomized harness that checks three
-properties after each application: the binding stays legal, the undo
-closures restore the exact cost, and the ledger stays consistent.
+properties after each application: the binding stays legal, reverting
+the move's journal restores the exact cost, and the ledger stays
+consistent.  Moves run inside an open move of the binding
+(``begin_move``), exactly as the search engines call them.
 """
 
 import random
@@ -15,6 +17,14 @@ from repro.alloc.checker import check_binding
 
 
 ALL_MOVES = dict(M.MoveSet._TABLE)
+
+
+def apply_move(binding, fn, rng):
+    """Run one move in its own journal bracket and keep the result."""
+    binding.begin_move()
+    applied = fn(binding, rng)
+    binding.commit_move()
+    return applied
 
 
 def force_passthrough(binding) -> None:
@@ -74,19 +84,20 @@ def run_move_many(binding, fn, seed=0, n=60, accept=lambda d: d <= 2.0):
     base = binding.cost().total
     applied = 0
     for _ in range(n):
-        undos = fn(binding, rng)
-        if undos is None:
+        binding.begin_move()
+        if not fn(binding, rng):
+            binding.commit_move()
             continue
         applied += 1
         new = binding.cost().total
         problems = check_binding(binding)
         assert problems == [], (fn.__name__, problems[:3])
         if not accept(new - base):
-            M.rollback(undos)
-            binding.flush()
+            binding.abort_move()
             assert binding.cost().total == pytest.approx(base)
             assert check_binding(binding) == []
         else:
+            binding.commit_move()
             base = new
     return applied
 
@@ -105,37 +116,35 @@ def test_f5_fires_after_f4(ewf19_binding):
     rng = random.Random(2)
     # create transfers (R2b hops), then pass-throughs, then unbind them
     for _ in range(40):
-        M.move_segment_hop(ewf19_binding, rng)
+        apply_move(ewf19_binding, M.move_segment_hop, rng)
     for _ in range(40):
-        M.move_bind_passthrough(ewf19_binding, rng)
+        apply_move(ewf19_binding, M.move_bind_passthrough, rng)
     if not ewf19_binding.pt_impl:
         # never skip: fall back to a deterministically constructed one
         force_passthrough(ewf19_binding)
     assert ewf19_binding.pt_impl
-    undos = M.move_unbind_passthrough(ewf19_binding, rng)
-    assert undos is not None
+    assert apply_move(ewf19_binding, M.move_unbind_passthrough, rng)
     assert check_binding(ewf19_binding) == []
 
 
 def test_r6_fires_after_r5(ewf19_binding):
     rng = random.Random(3)
-    made = None
+    made = False
     for _ in range(60):
-        made = M.move_value_split(ewf19_binding, rng) or made
-    assert made is not None
+        made = apply_move(ewf19_binding, M.move_value_split, rng) or made
+    assert made
     assert any(len(r) > 1 for r in ewf19_binding.placements.values())
-    undos = M.move_value_merge(ewf19_binding, rng)
-    assert undos is not None
+    assert apply_move(ewf19_binding, M.move_value_merge, rng)
     assert check_binding(ewf19_binding) == []
 
 
 def test_operand_reverse_toggles(diffeq_binding):
     rng = random.Random(0)
     before = dict(diffeq_binding.op_swap)
-    undos = M.move_operand_reverse(diffeq_binding, rng)
-    assert undos is not None
+    diffeq_binding.begin_move()
+    assert M.move_operand_reverse(diffeq_binding, rng)
     assert diffeq_binding.op_swap != before
-    M.rollback(undos)
+    diffeq_binding.abort_move()
     assert {k: v for k, v in diffeq_binding.op_swap.items() if v} == \
         {k: v for k, v in before.items() if v}
 
@@ -144,8 +153,7 @@ def test_fu_exchange_swaps_assignments(ewf19_binding):
     rng = random.Random(5)
     before = dict(ewf19_binding.op_fu)
     for _ in range(30):
-        undos = M.move_fu_exchange(ewf19_binding, rng)
-        if undos is not None:
+        if apply_move(ewf19_binding, M.move_fu_exchange, rng):
             break
     else:
         pytest.fail("F1 never applied")
@@ -159,11 +167,10 @@ def test_fu_exchange_swaps_assignments(ewf19_binding):
 
 def test_value_move_collapses_to_single_register(ewf19_binding):
     rng = random.Random(9)
-    for _ in range(30):
-        M.move_segment_hop(ewf19_binding, rng)  # create some splits
+    for _ in range(30):  # create some splits
+        apply_move(ewf19_binding, M.move_segment_hop, rng)
     for _ in range(60):
-        undos = M.move_value_move(ewf19_binding, rng)
-        if undos is not None:
+        if apply_move(ewf19_binding, M.move_value_move, rng):
             break
     assert check_binding(ewf19_binding) == []
 

@@ -147,17 +147,6 @@ class TestMuxDepth:
         ledger.add(reg_out("R1"), fu_in("f", 0))
         assert ledger.mux_depth == 1
 
-    def test_snapshot_round_trips_depth(self):
-        ledger = ConnectionLedger()
-        for i in range(4):
-            ledger.add(reg_out(f"R{i}"), fu_in("f", 0))
-        snap = ledger.snapshot()
-        ledger.add(reg_out("R4"), fu_in("f", 0))
-        assert ledger.mux_depth == 3
-        ledger.restore(snap)
-        assert ledger.mux_depth == 2
-        ledger.verify()
-
     def test_verify_catches_depth_corruption(self):
         ledger = ConnectionLedger()
         ledger.add(reg_out("R0"), fu_in("f", 0))

@@ -23,7 +23,7 @@ from repro.bench import hal_diffeq
 from repro.datapath.units import HardwareSpec, make_registers
 from repro.sched.explore import schedule_graph
 from repro.core.initial import initial_allocation
-from repro.core.moves import MoveSet, rollback
+from repro.core.moves import MoveSet
 from repro.alloc.checker import check_binding
 
 SPEC = HardwareSpec.non_pipelined()
@@ -41,7 +41,7 @@ class BindingMachine(RuleBasedStateMachine):
         self.rng = random.Random(0)
         self.snapshot = None
         self.snapshot_cost = None
-        self.pending = None  # (undos, cost_before)
+        self.pending = None  # cost before the open move
 
     @rule(name=st.sampled_from(sorted(MOVES)), seed=st.integers(0, 9999))
     def apply_move(self, name, seed):
@@ -49,20 +49,22 @@ class BindingMachine(RuleBasedStateMachine):
             return
         self.rng.seed(seed)
         before = self.binding.cost().total
-        undos = MOVES[name](self.binding, self.rng)
-        if undos is not None:
-            self.pending = (undos, before)
+        self.binding.begin_move()
+        if MOVES[name](self.binding, self.rng):
+            self.pending = before
+        else:
+            self.binding.commit_move()
 
     @precondition(lambda self: self.pending is not None)
     @rule(keep=st.booleans())
     def resolve_move(self, keep):
-        undos, before = self.pending
+        before = self.pending
         self.pending = None
         if keep:
             self.binding.cost()
+            self.binding.commit_move()
         else:
-            rollback(undos)
-            self.binding.flush()
+            self.binding.abort_move()
             assert self.binding.cost().total == pytest.approx(before)
 
     @precondition(lambda self: self.pending is None)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import threading
 import time
 
@@ -10,13 +12,14 @@ import pytest
 
 from repro.alloc.checker import check_binding
 from repro.errors import ReproError
-from repro.io.json_io import binding_from_json
+from repro.io.json_io import binding_from_json, canonical_dumps
 from repro.service.cache import MemoryLRUCache, TieredCache
-from repro.service.codec import request_from_dict, request_key
+from repro.service.codec import request_from_dict, request_key, warm_key
 from repro.service.jobs import (CANCELLED, DONE, FAILED, JobManager,
-                                JobNotFoundError, QueueFullError)
+                                JobNotFoundError, QueueFullError,
+                                compact_state_v1_to_state)
 from repro.service.metrics import MetricsRegistry
-from repro.verify.sanitizer import SanitizerError
+from repro.verify.sanitizer import SanitizerError, decode_state
 
 FAST_BUDGET = {"max_trials": 1, "moves_per_trial": 60}
 
@@ -132,20 +135,32 @@ def test_warm_start_reuses_shape_snapshot(manager_setup):
     assert cache.get(warm_job.key) is None
 
 
-def test_warm_snapshot_is_compact_and_column_backed(manager_setup,
-                                                    monkeypatch):
-    """The warm store holds the compact array payload, and a warm-started
-    job restores it as flat integer columns — it never rebuilds (or deep
-    -copies) the per-op/per-segment dict graphs of the legacy codec."""
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "fixtures")
+
+
+def load_fixture(name):
+    with open(os.path.join(FIXTURES, name), "rb") as handle:
+        return handle.read()
+
+
+def sha(document):
+    return hashlib.sha256(canonical_dumps(document).encode("utf-8")) \
+        .hexdigest()
+
+
+def test_warm_snapshot_is_name_keyed_best_state(manager_setup,
+                                                 monkeypatch):
+    """The warm store holds the result's name-keyed ``best_state``, and a
+    warm-started job restores exactly that snapshot."""
     import repro.service.jobs as jobs_mod
-    from repro.core.arraystate import PAYLOAD_FORMAT, CompactState
 
     manager, cache, _ = manager_setup
     job, _ = manager.submit(fast_request(seed=5))
     assert job.wait(120)
     assert job.status == DONE
     blob = cache.get("warm_" + job.shape_key)
-    assert json.loads(blob.decode("utf-8"))["format"] == PAYLOAD_FORMAT
+    assert blob == canonical_dumps(job.result["best_state"]).encode("utf-8")
 
     warm_states = []
     real_run = jobs_mod.run_restart
@@ -154,18 +169,81 @@ def test_warm_snapshot_is_compact_and_column_backed(manager_setup,
         warm_states.append(rjob.warm_state)
         return real_run(rjob)
 
-    def legacy_decode_forbidden(_data):
-        raise AssertionError(
-            "warm snapshot went through the legacy decode_state path")
-
     monkeypatch.setattr(jobs_mod, "run_restart", spying_run)
-    monkeypatch.setattr(jobs_mod, "decode_state", legacy_decode_forbidden)
     warm_job, _ = manager.submit(fast_request(seed=6, warm_start=True))
     assert warm_job.wait(120)
     assert warm_job.status == DONE
     assert warm_job.result["warm_started"] is True
     assert warm_states
-    assert all(isinstance(state, CompactState) for state in warm_states)
+    assert all(state == decode_state(job.result["best_state"])
+               for state in warm_states)
+
+
+def test_result_bytes_unchanged_for_the_same_request(manager_setup):
+    """``best_state`` and ``binding`` of a fixed request match the bytes
+    recorded when the binding state still had its array mirror."""
+    expected = json.loads(load_fixture("warm_compact_state_v1.expected.json"))
+    manager, _, _ = manager_setup
+    job, _ = manager.submit(fast_request(seed=expected["cold_seed"]))
+    assert job.wait(120)
+    assert job.status == DONE
+    assert job.result["best_state"] == expected["name_keyed_state"]
+    assert sha(job.result["best_state"]) == \
+        expected["cold"]["best_state_sha256"]
+    assert sha(job.result["binding"]) == expected["cold"]["binding_sha256"]
+
+
+@pytest.mark.parametrize("stored", ["compact-state-v1", "name-keyed"])
+def test_old_compact_warm_payload_still_warm_starts(stored):
+    """A ``compact-state-v1`` payload left in the warm store by an older
+    build decodes and warm-starts to the same binding as its name-keyed
+    equivalent."""
+    expected = json.loads(load_fixture("warm_compact_state_v1.expected.json"))
+    if stored == "compact-state-v1":
+        blob = load_fixture("warm_compact_state_v1.json")
+    else:
+        blob = canonical_dumps(expected["name_keyed_state"]).encode("utf-8")
+    manager, cache, metrics = make_manager()
+    try:
+        request = fast_request(seed=expected["warm_seed"], warm_start=True)
+        cache.put("warm_" + warm_key(request), blob)
+        job, _ = manager.submit(request)
+        assert job.wait(120)
+        assert job.status == DONE
+        assert job.result["warm_started"] is True
+        assert metrics.counter("jobs_warm_started").value == 1
+        assert sha(job.result["binding"]) == \
+            expected["warm"]["binding_sha256"]
+        assert sha(job.result["best_state"]) == \
+            expected["warm"]["best_state_sha256"]
+    finally:
+        manager.shutdown()
+
+
+def test_compact_state_v1_converts_to_its_name_keyed_twin():
+    """Every column of an old payload (FU, swap, copies, read and output
+    sources, pass-throughs) converts to the snapshot it was encoded from."""
+    from repro.bench import discrete_cosine_transform
+    from repro.core import initial_allocation
+    from repro.datapath.units import HardwareSpec, make_registers
+    from repro.sched.explore import schedule_graph
+
+    doc = json.loads(load_fixture("compact_state_v1_codec.json"))
+    state = compact_state_v1_to_state(doc["compact"])
+    twin = decode_state(doc["name_keyed"])
+    assert state == twin
+    assert list(state["placements"]) == sorted(state["placements"])
+    assert state["pt_impl"] and state["op_swap"] and state["out_src"]
+
+    spec = HardwareSpec.non_pipelined()
+    schedule = schedule_graph(discrete_cosine_transform(), spec,
+                              doc["length"])
+    binding = initial_allocation(
+        schedule, spec.make_fus(schedule.min_fus()),
+        make_registers(schedule.min_registers() + 1))
+    binding.restore_state(state)
+    assert check_binding(binding) == []
+    assert binding.total_cost() == doc["total_cost"]
 
 
 def test_retryable_failure_gets_a_fresh_seed(manager_setup):

@@ -121,7 +121,8 @@ class TestShadowCheck:
 
 
 class TestInjectedUndoBug:
-    """A broken undo closure must be caught by the round-trip probe."""
+    """A move write hidden from the rollback journal must be caught by
+    the round-trip probe."""
 
     def _config(self, seed, sanitize=True, **kwargs):
         return ImproveConfig(max_trials=3, moves_per_trial=400,
